@@ -64,7 +64,7 @@ class RunRequest:
             results).
         experiment: ``"trace"`` or ``"remap"``.
         engine: simulation engine, ``""`` (process default — usually the
-            fast engine), ``"reference"``, ``"fast"`` or ``"soa"``.  All
+            fast engine), ``"reference"`` or ``"fast"``.  Both
             engines produce bit-identical results, so the engine only enters the
             cache key when explicitly non-default (letting benchmarks
             force a re-simulation on a specific engine without

@@ -648,7 +648,7 @@ def _add_fleet_parser(subparsers, common: argparse.ArgumentParser) -> None:
     fleet.add_argument(
         "--engine",
         default=None,
-        choices=("reference", "fast", "soa"),
+        choices=("reference", "fast"),
         help="simulation engine (default: REPRO_SIM_ENGINE or fast)",
     )
 
@@ -890,7 +890,7 @@ def _add_run_parser(subparsers, common: argparse.ArgumentParser) -> None:
         "--engine",
         default=None,
         metavar="E",
-        help="execution engine (reference, fast, soa; default: "
+        help="execution engine (reference, fast; default: "
         "REPRO_SIM_ENGINE or fast)",
     )
     run.add_argument(
@@ -1230,11 +1230,11 @@ def _add_bench_parser(subparsers) -> None:
 
     bench = subparsers.add_parser(
         "bench",
-        help="time the reference, fast, and soa simulation engines",
+        help="time the reference and fast simulation engines",
         description=(
-            "Benchmark the fast and soa simulation engines against the "
+            "Benchmark the fast simulation engine against the "
             "reference engine across figure workloads and synthetic "
-            "scenarios, verifying that all three produce bit-identical "
+            "scenarios, verifying that both produce bit-identical "
             "results.  See docs/PERFORMANCE.md for how to read the output."
         ),
     )

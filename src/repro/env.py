@@ -2,8 +2,8 @@
 
 Every knob this repository reads from the environment goes through one
 of these helpers (or an equally strict local parser, e.g.
-``repro.api.scale.ExperimentScale.from_environment`` and the engine /
-kernel resolvers in :mod:`repro.sim`).  The contract is uniform: an
+``repro.api.scale.ExperimentScale.from_environment`` and the engine
+resolver in :mod:`repro.sim.engine`).  The contract is uniform: an
 unset or empty variable means the default, and a set-but-invalid value
 raises ``ValueError`` naming the variable, the offending value, and
 what would have been accepted.  A typo must never silently select a

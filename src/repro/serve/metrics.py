@@ -45,6 +45,7 @@ COUNTER_METRICS = (
     ("errors", "repro_errors_total", "admitted units whose execution raised"),
     ("rejected", "repro_rejected_total", "requests rejected before admission"),
     ("streams", "repro_streams_total", "streaming (SSE) connections opened"),
+    ("pool_restarts", "repro_pool_restarts_total", "process pools dropped after a dead worker"),
 )
 
 
@@ -154,6 +155,7 @@ class ServiceMetrics:
             "errors": self.errors,
             "rejected": self.rejected,
             "streams": self.streams,
+            "pool_restarts": self.pool_restarts,
             "hit_rate": (self.hits / self.requests) if self.requests else 0.0,
             "requests_per_second": (
                 self.requests / uptime if uptime > 0 else 0.0

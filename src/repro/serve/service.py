@@ -18,12 +18,16 @@ Cold work runs on a ``spawn`` process pool (``workers >= 1``) or an
 in-process thread pool (``workers = 0``; also used for runs that
 stream ``interval_refs`` telemetry, since a callback cannot cross a
 process boundary -- the GIL makes a streamed run slower, not wrong).
+A process pool whose worker died is dropped on the first
+``BrokenProcessPool`` (that request fails with ``execution-failed``)
+and the next cold request builds a fresh one.
 """
 
 from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -93,6 +97,18 @@ class SimulationService:
         if self._process_pool is None:
             self._process_pool = _worker_pool(self.settings.workers)
         return self._process_pool
+
+    def _drop_broken_pool(self, pool) -> None:
+        """Forget a process pool that lost a worker.
+
+        Every job on a broken pool fails with ``BrokenProcessPool``; only
+        the first to report it shuts the pool down and counts a restart,
+        and a pool built since then is left alone.
+        """
+        if pool is not None and pool is self._process_pool:
+            self._process_pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+            self.metrics.pool_restarts += 1
 
     def _threads(self) -> ThreadPoolExecutor:
         if self._thread_pool is None:
@@ -209,12 +225,14 @@ class SimulationService:
         tracer = active_tracer()
         start = tracer.now() if tracer else 0.0
         self._emit(job, "started", {"key": key})
+        pool = None
         try:
             if kind == "fleet":
                 from repro.fleet.engine import execute_fleet
 
+                pool = self._cold_pool()
                 result = await loop.run_in_executor(
-                    self._cold_pool(), execute_fleet, request
+                    pool, execute_fleet, request
                 )
             elif self._streaming(request, job):
                 # interval subscribers need the on_interval callback,
@@ -231,10 +249,13 @@ class SimulationService:
                     self._threads(), run_streamed
                 )
             else:
+                pool = self._cold_pool()
                 result = await loop.run_in_executor(
-                    self._cold_pool(), execute_request, request
+                    pool, execute_request, request
                 )
         except Exception as error:
+            if isinstance(error, BrokenProcessPool):
+                self._drop_broken_pool(pool)
             self.metrics.errors += 1
             self._inflight.pop(key, None)
             if tracer:

@@ -1,35 +1,26 @@
-"""Execution engines: the reference loop, the fast path, and the SoA core.
+"""Execution engines: the reference loop and the fast path.
 
-The simulator supports three interchangeable execution engines:
+The simulator supports two interchangeable execution engines:
 
 * the **reference engine** walks every reference through the layered
   component APIs (:meth:`repro.cpu.core.CpuCore.translate`, the cache
   hierarchy, the hypervisor access hooks).  It is the specification:
-  small, obvious, and the thing every other engine is measured against;
+  small, obvious, and the thing the other engine is measured against;
 
 * the **fast engine** executes the same simulation through a batch
-  executor that retires steady-state references in bulk.  When a
-  reference hits the L1 TLB and its data line is resident in the L1
-  cache -- the overwhelmingly common case the paper calls steady state
-  -- nothing architecturally interesting happens, so the fast path
-  retires it inline with precomputed hit costs and accumulates
-  statistics as per-chunk array sums instead of per-reference attribute
-  updates.  The moment any slow-path condition holds (TLB miss, data
-  miss, pending defragmentation remap, a fault) the executor falls back
-  to the exact reference code path for that reference;
+  executor (:class:`FastPathExecutor`).  When a reference hits the L1
+  TLB and its data line is resident in the L1 cache -- the
+  overwhelmingly common case the paper calls steady state -- nothing
+  architecturally interesting happens.  The executor scans upcoming
+  references against flat numpy mirrors of the L1 TLB and L1 tags and
+  retires whole windows of such references with array sums and batched
+  LRU updates; where a window cannot form, it retires steady references
+  one by one with precomputed hit costs and per-chunk statistic sums.
+  The moment any slow-path condition holds (TLB miss, data miss,
+  pending defragmentation remap, a fault) it falls back to the exact
+  reference code path for that reference.
 
-* the **soa engine** (struct-of-arrays) goes one representation step
-  further: it mirrors the hot lookup state -- L1 TLB entries and L1
-  data tags -- into flat power-of-2 numpy tables, scans each stream's
-  upcoming references through a vectorized (optionally compiled, see
-  :mod:`repro.sim.soa_kernel`) steady-prefix kernel, and retires whole
-  multi-round windows of steady references with array sums and
-  batched LRU updates.  The first slow-path condition ends the window
-  and the engine drops to the fast engine's exact per-chunk path, so
-  every architecturally interesting reference still runs the reference
-  semantics.
-
-The fast and soa engines additionally install flattened implementations of the
+The fast engine additionally installs flattened implementations of the
 hottest component paths on the machine it runs -- the cache hierarchy
 access path and co-tag/line-indexed translation structure invalidation.
 These are pure implementation swaps: they mutate the *same* state
@@ -82,18 +73,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (overridable per process with ``REPRO_SIM_ENGINE``).
 ENGINE_REFERENCE = "reference"
 ENGINE_FAST = "fast"
-ENGINE_SOA = "soa"
-ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_SOA)
+ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
 ENGINE_DEFAULT = ENGINE_FAST
 
 #: Environment variable selecting the engine for simulators that were
-#: not given one explicitly (``reference``, ``fast`` or ``soa``).
+#: not given one explicitly (``reference`` or ``fast``).
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
 #: When set, :func:`repro.api.session.execute_request` runs every
-#: non-reference trace request through the reference engine as well (and
-#: for ``soa`` also through ``fast``) and raises
-#: :class:`FastPathMismatchError` unless the results are bit-identical.
+#: non-reference trace request through the reference engine as well and
+#: raises :class:`FastPathMismatchError` unless the results are
+#: bit-identical.
 #: Valid values: ``1``/``true`` (on), ``0``/``false``/unset (off);
 #: anything else is a loud error, not a silent boolean guess.
 VALIDATE_ENV_VAR = "REPRO_VALIDATE_FASTPATH"
@@ -839,22 +829,52 @@ class ReferenceExecutor:
 
 
 class FastPathExecutor:
-    """Batch executor retiring steady-state references in bulk.
+    """Batch executor: vectorized steady windows over an exact chunk path.
 
     Keeps the reference engine's exact round-robin interleaving (chunks
-    of ``_INTERLEAVE_CHUNK`` references per vCPU) and falls back to
-    :meth:`Simulator._execute_reference` for any reference that is not
-    fully steady-state.
+    of ``_INTERLEAVE_CHUNK`` references per vCPU) and works at two
+    granularities, chosen automatically per window:
+
+    * **bulk windows** of whole rounds.  Per window it builds per-core
+      direct-mapped mirror tables (flat int64 arrays with power-of-2
+      index masks) of the L1 TLB and the L1 data tags, scans each
+      stream's upcoming references against them (:func:`_steady_prefix`)
+      and bulk-retires ``R`` full rounds, where ``R`` is the largest
+      round count every active stream covers steadily.  Retirement
+      applies exactly the effects the per-reference path would have
+      applied: statistic sums, LRU ``move_to_end`` replayed per distinct
+      key in last-occurrence order, dirty bits for written lines,
+      idempotent clock-policy touched bits, and per-VM attribution.
+      That is sound because an all-steady window cannot change TLB or
+      cache membership, only recency metadata and counters.  Mirror
+      collisions only ever produce false *negatives* (a steady reference
+      classified slow), so they cost speed, not correctness;
+
+    * the **exact chunk path** (:meth:`_run_chunk`) for everything else:
+      it retires L1-TLB/L1-cache hits inline with precomputed hit costs
+      and per-chunk statistic sums, and replays any other reference
+      through :meth:`_slow_reference`, the reference engine's semantics.
+
+    A scan that finds slow content ahead runs exact rounds instead, in
+    batches that grow while scans keep failing, so slow-path-heavy
+    phases pay almost nothing for scanning.  Configurations the bulk
+    contract does not cover (see :meth:`_bulk_eligible`) run the exact
+    path only.  The executor reads the trace's numpy streams in place:
+    it converts one chunk or one scan window at a time and never holds
+    a whole-trace copy.
     """
+
+    #: Per-stream scan horizon in references: starts at ``_SCAN_START``
+    #: and doubles while scans are cut short by the horizon rather than
+    #: by a slow reference, up to ``_SCAN_MAX``, which bounds the size of
+    #: every window temporary.
+    _SCAN_START = 2048
+    _SCAN_MAX = 1 << 13
 
     def __init__(self, simulator: "Simulator", trace, contexts) -> None:
         self.simulator = simulator
         self.trace = trace
         self.contexts = contexts
-        # One bulk conversion instead of two numpy-scalar conversions
-        # per reference in the inner loop.
-        self._gvas = [stream.tolist() for stream in trace.streams]
-        self._writes = [flags.tolist() for flags in trace.writes]
         # Stream-to-pCPU placement (identity for legacy traces) and the
         # per-VM attribution map, mirroring Simulator._execute_span
         # exactly.
@@ -885,52 +905,116 @@ class FastPathExecutor:
             self._policy_kind = "fifo"
         else:  # pragma: no cover - no third policy exists today
             self._policy_kind = "other"
+        chip = simulator.chip
+        # Mirror geometry: 4x the structure capacity keeps direct-mapped
+        # collisions (and therefore spurious exact-path rounds) rare.
+        tlb_capacity = max(core.tlb_l1.capacity for core in chip.cores)
+        l1_lines = max(
+            core.l1.num_sets * core.l1.associativity for core in chip.cores
+        )
+        self._tmask = (1 << max(4 * tlb_capacity - 1, 1).bit_length()) - 1
+        self._lmask = (1 << max(2 * l1_lines - 1, 1).bit_length()) - 1
+        self._warm_cost = (
+            config.costs.l1_tlb_latency + chip.cores[0].l1.latency
+        )
+        self._bulk = self._bulk_eligible()
 
     def execute_span(self, starts, ends, on_round=None) -> int:
         """Execute streams between per-stream ``starts`` and ``ends``.
+
+        Bit-identical to the reference engine: bulk windows cover only
+        references whose effects commute into sums and last-occurrence
+        LRU replays, and ``on_round`` -- the reference engine's hook --
+        still fires after every full round-robin round with the
+        references executed so far in this span (windows are retired
+        round by round whenever a hook is attached).
 
         Cyclic garbage collection is suspended for the duration: the hot
         path allocates no reference cycles (cache lines, translation
         entries and directory entries are acyclic), so generational GC
         sweeps are pure overhead at this allocation rate.
-
-        ``on_round`` mirrors the reference engine's hook: it fires after
-        every full round-robin round with the references executed so far
-        in this span, which is a state both engines reach bit-exactly.
         """
         from repro.sim.simulator import _INTERLEAVE_CHUNK
 
-        trace = self.trace
+        num_vcpus = self.trace.num_vcpus
         positions = list(starts)
         executed = 0
+        horizon = self._SCAN_START
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            active = True
-            while active:
-                active = False
-                for vcpu in range(trace.num_vcpus):
-                    pos = positions[vcpu]
-                    end = min(pos + _INTERLEAVE_CHUNK, ends[vcpu])
-                    if pos >= end:
-                        continue
-                    active = True
-                    executed += self._run_chunk(vcpu, pos, end)
-                    positions[vcpu] = end
-                if active and on_round is not None:
-                    on_round(executed)
+            zero_streak = 0
+            while True:
+                active = [
+                    s for s in range(num_vcpus) if positions[s] < ends[s]
+                ]
+                if not active:
+                    break
+                rounds = 0
+                if self._bulk:
+                    rounds, limited, window = self._scan_window(
+                        positions, ends, active, horizon
+                    )
+                if rounds == 0:
+                    # Slow content (or a sub-chunk tail) ahead on some
+                    # stream: run exact interleaved rounds.  The batch
+                    # grows with consecutive slow scans so scan overhead
+                    # amortizes across slow-path-heavy phases.
+                    for _ in range(1 << min(zero_streak, 6)):
+                        advanced = self._exact_round(
+                            positions, ends, executed, on_round
+                        )
+                        if advanced == executed:
+                            break
+                        executed = advanced
+                    zero_streak += 1
+                    horizon = self._SCAN_START
+                    continue
+                zero_streak = 0
+                if on_round is None:
+                    executed += self._retire_rounds(
+                        active, positions, window, 0, rounds,
+                        _INTERLEAVE_CHUNK,
+                    )
+                else:
+                    for r in range(rounds):
+                        executed += self._retire_rounds(
+                            active, positions, window, r, r + 1,
+                            _INTERLEAVE_CHUNK,
+                        )
+                        on_round(executed)
+                if limited:
+                    horizon = min(horizon * 2, self._SCAN_MAX)
         finally:
             if gc_was_enabled:
                 gc.enable()
+        return executed
+
+    def _exact_round(self, positions, ends, executed, on_round) -> int:
+        """One full round-robin round on the exact chunk path."""
+        from repro.sim.simulator import _INTERLEAVE_CHUNK
+
+        advanced = False
+        for vcpu in range(self.trace.num_vcpus):
+            pos = positions[vcpu]
+            end = min(pos + _INTERLEAVE_CHUNK, ends[vcpu])
+            if pos >= end:
+                continue
+            advanced = True
+            executed += self._run_chunk(vcpu, pos, end)
+            positions[vcpu] = end
+        if advanced and on_round is not None:
+            on_round(executed)
         return executed
 
     def _run_chunk(self, vcpu: int, pos: int, end: int) -> int:
         """Retire one vCPU's chunk ``[pos, end)``; return references run."""
         sim = self.simulator
         ctx = self.contexts[vcpu]
-        gvas = self._gvas[vcpu]
-        writes = self._writes[vcpu]
+        # only this chunk's slice becomes Python ints
+        gvas = self.trace.streams[vcpu][pos:end].tolist()
+        writes = self.trace.writes[vcpu][pos:end].tolist()
         cpu = self._pcpus[vcpu]
         core = sim.chip.cores[cpu]
         stats = sim.stats
@@ -984,7 +1068,7 @@ class FastPathExecutor:
         prev_gvp = -1
         prev_spp = 0
 
-        for gva, is_write in zip(gvas[pos:end], writes[pos:end]):
+        for gva, is_write in zip(gvas, writes):
             gvp = gva >> PAGE_SHIFT
             if gvp == prev_gvp:
                 # Same page as the previous fully-warm reference: its
@@ -1167,68 +1251,14 @@ class FastPathExecutor:
         spa = (spp << PAGE_SHIFT) | (gva & (PAGE_SIZE - 1))
         charge_cpu(cpu, core.hierarchy.access_cycles(spa, is_write))
 
-
-def _last_occurrence_order(values: np.ndarray) -> np.ndarray:
-    """Distinct values of ``values`` ordered by ascending last occurrence.
-
-    Replaying ``move_to_end`` once per distinct key in this order yields
-    the exact OrderedDict order that per-reference ``move_to_end`` calls
-    would have produced -- provided membership did not change, which is
-    the invariant of an all-steady window.
-    """
-    reversed_values = values[::-1]
-    distinct, first_in_reversed = np.unique(
-        reversed_values, return_index=True
-    )
-    last = values.shape[0] - 1 - first_in_reversed
-    return distinct[np.argsort(last, kind="stable")]
-
-
-class SoAExecutor(FastPathExecutor):
-    """Struct-of-arrays executor: vectorized multi-round steady windows.
-
-    The fast engine retires steady references one Python iteration at a
-    time; this engine retires them in *windows* of whole round-robin
-    rounds.  Per window it (1) rebuilds per-core direct-mapped mirror
-    tables (flat int64 arrays with power-of-2 index masks) of the L1 TLB
-    and the L1 data tags from the authoritative structures, (2) runs the
-    :mod:`repro.sim.soa_kernel` steady-prefix scan over each stream's
-    precomputed address columns, and (3) bulk-retires ``R`` full rounds
-    where ``R`` is the largest round count every active stream can cover
-    steadily.  Bulk retirement applies exactly the effects the fast
-    engine's steady path would have applied reference by reference:
-    statistic sums, LRU ``move_to_end`` replayed per distinct key in
-    last-occurrence order, dirty bits for written lines, idempotent
-    clock-policy touched bits, and per-VM attribution.  That is sound
-    because an all-steady window cannot change TLB or cache membership,
-    only recency metadata and counters.
-
-    Anything else -- a TLB or L1 miss, a partial tail chunk, a
-    defragmenting configuration, an unknown paging policy -- drops to
-    the inherited :class:`FastPathExecutor` exact path, chunk by chunk,
-    so slow references execute the reference semantics unchanged.
-    Mirror collisions only ever produce false *negatives* (a steady
-    reference classified slow), never false positives, so they cost
-    speed, not correctness.
-    """
-
-    #: Initial per-stream scan horizon in references.  Doubles each time
-    #: a scan is cut short by the horizon rather than by a slow
-    #: reference, so long steady phases converge to O(log) scans.
-    _SCAN_START = 2048
-    _SCAN_MAX = 1 << 21
-
-    def __init__(self, simulator: "Simulator", trace, contexts) -> None:
-        super().__init__(simulator, trace, contexts)
-        self._bulk = self._bulk_eligible()
-        if self._bulk:
-            self._prepare_columns()
-
+    # ------------------------------------------------------------------
+    # bulk windows
+    # ------------------------------------------------------------------
     def _bulk_eligible(self) -> bool:
         """Whether bulk windows are sound for this simulator + trace.
 
         Ineligible shapes are rare and still correct: the executor then
-        behaves exactly like the fast engine.
+        runs every reference on the exact chunk path.
         """
         if self._defrag or self._policy_kind == "other":
             # defrag interposes on_data_access on every steady
@@ -1246,132 +1276,8 @@ class SoAExecutor(FastPathExecutor):
                 return False  # pragma: no cover - addresses are < 2^55
         return True
 
-    def _prepare_columns(self) -> None:
-        """Precompute per-stream SoA address columns and mirror shapes."""
-        chip = self.simulator.chip
-        core0 = chip.cores[0]
-        tlb_capacity = max(
-            core.tlb_l1.capacity for core in chip.cores
-        )
-        l1_lines = max(
-            core.l1.num_sets * core.l1.associativity for core in chip.cores
-        )
-        # 4x the structure capacity keeps direct-mapped collisions (and
-        # therefore spurious exact-path rounds) rare.
-        self._tmask = (1 << max(4 * tlb_capacity - 1, 1).bit_length()) - 1
-        self._lmask = (1 << max(2 * l1_lines - 1, 1).bit_length()) - 1
-        self._warm_cost = (
-            self.simulator.config.costs.l1_tlb_latency + core0.l1.latency
-        )
-        line_mask = ~(CACHE_LINE_SIZE - 1)
-        self._col_tag: list[np.ndarray] = []
-        self._col_tidx: list[np.ndarray] = []
-        self._col_loff: list[np.ndarray] = []
-        self._col_write: list[np.ndarray] = []
-        for vcpu, stream in enumerate(self.trace.streams):
-            gva = np.ascontiguousarray(stream, dtype=np.int64)
-            gvp = gva >> PAGE_SHIFT
-            vm_code = self._vm_code[self.contexts[vcpu].vm_id]
-            self._col_tag.append(np.ascontiguousarray((gvp << 6) | vm_code))
-            self._col_tidx.append(np.ascontiguousarray(gvp & self._tmask))
-            self._col_loff.append(
-                np.ascontiguousarray((gva & (PAGE_SIZE - 1)) & line_mask)
-            )
-            self._col_write.append(
-                np.ascontiguousarray(self.trace.writes[vcpu], dtype=bool)
-            )
-        from repro.sim.soa_kernel import get_kernel
-
-        self.kernel_name, self._scan = get_kernel()
-
-    # ------------------------------------------------------------------
-    # the windowed span loop
-    # ------------------------------------------------------------------
-    def execute_span(self, starts, ends, on_round=None) -> int:
-        """Execute streams between ``starts`` and ``ends`` in windows.
-
-        Bit-identical to both other engines: bulk windows cover only
-        references whose effects commute into sums and last-occurrence
-        LRU replays, and ``on_round`` still fires after every full
-        round-robin round (windows are retired round by round whenever a
-        hook is attached, so observation points are unchanged).
-        """
-        if not self._bulk:
-            return super().execute_span(starts, ends, on_round)
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        num_vcpus = self.trace.num_vcpus
-        positions = list(starts)
-        executed = 0
-        horizon = self._SCAN_START
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            zero_streak = 0
-            while True:
-                active = [
-                    s for s in range(num_vcpus) if positions[s] < ends[s]
-                ]
-                if not active:
-                    break
-                rounds, limited, window = self._scan_window(
-                    positions, ends, active, horizon
-                )
-                if rounds == 0:
-                    # Slow content (or a sub-chunk tail) ahead on some
-                    # stream: run exact interleaved rounds.  The batch
-                    # grows with consecutive slow scans so scan overhead
-                    # amortizes across slow-path-heavy phases.
-                    for _ in range(1 << min(zero_streak, 6)):
-                        advanced = self._exact_round(
-                            positions, ends, executed, on_round
-                        )
-                        if advanced == executed:
-                            break
-                        executed = advanced
-                    zero_streak += 1
-                    horizon = self._SCAN_START
-                    continue
-                zero_streak = 0
-                if on_round is None:
-                    executed += self._retire_rounds(
-                        active, positions, window, 0, rounds,
-                        _INTERLEAVE_CHUNK,
-                    )
-                else:
-                    for r in range(rounds):
-                        executed += self._retire_rounds(
-                            active, positions, window, r, r + 1,
-                            _INTERLEAVE_CHUNK,
-                        )
-                        on_round(executed)
-                if limited:
-                    horizon = min(horizon * 2, self._SCAN_MAX)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return executed
-
-    def _exact_round(self, positions, ends, executed, on_round) -> int:
-        """One full round-robin round on the inherited exact chunk path."""
-        from repro.sim.simulator import _INTERLEAVE_CHUNK
-
-        advanced = False
-        for vcpu in range(self.trace.num_vcpus):
-            pos = positions[vcpu]
-            end = min(pos + _INTERLEAVE_CHUNK, ends[vcpu])
-            if pos >= end:
-                continue
-            advanced = True
-            executed += self._run_chunk(vcpu, pos, end)
-            positions[vcpu] = end
-        if advanced and on_round is not None:
-            on_round(executed)
-        return executed
-
-    def _build_mirrors(self, cpus):
-        """Direct-mapped numpy mirrors of each core's L1 TLB and L1 tags.
+    def _build_mirror(self, cpu: int):
+        """Direct-mapped numpy mirrors of one core's L1 TLB and L1 tags.
 
         Mirrors hold full tags, so a probe hit proves the key is present
         in the authoritative structure; a slot lost to a collision is
@@ -1380,43 +1286,41 @@ class SoAExecutor(FastPathExecutor):
         entries -- which frees the executor from hooking every
         invalidation path in the machine.
         """
-        mirrors = {}
-        chip = self.simulator.chip
+        core = self.simulator.chip.cores[cpu]
         tmask = self._tmask
         lmask = self._lmask
-        for cpu in cpus:
-            core = chip.cores[cpu]
-            tlb_tag = np.full(tmask + 1, -1, dtype=np.int64)
-            tlb_spp = np.zeros(tmask + 1, dtype=np.int64)
-            vm_code_of = self._vm_code.get
-            for (vm_id, gvp), entry in core.tlb_l1._entries.items():
-                vm_code = vm_code_of(vm_id)
-                if vm_code is None:
-                    # An untraced VM's entry can never match a scanned
-                    # tag; leaving it out only costs a false negative.
-                    continue
-                slot = gvp & tmask
-                tlb_tag[slot] = (gvp << 6) | vm_code
-                tlb_spp[slot] = entry.value
-            l1_tag = np.full(lmask + 1, -1, dtype=np.int64)
-            for line_set in core.l1._sets:
-                for line in line_set:
-                    l1_tag[(line >> 6) & lmask] = line
-            mirrors[cpu] = (tlb_tag, tlb_spp, l1_tag)
-        return mirrors
+        tlb_tag = np.full(tmask + 1, -1, dtype=np.int64)
+        tlb_spp = np.zeros(tmask + 1, dtype=np.int64)
+        vm_code_of = self._vm_code.get
+        for (vm_id, gvp), entry in core.tlb_l1._entries.items():
+            vm_code = vm_code_of(vm_id)
+            if vm_code is None:
+                # An untraced VM's entry can never match a scanned
+                # tag; leaving it out only costs a false negative.
+                continue
+            slot = gvp & tmask
+            tlb_tag[slot] = (gvp << 6) | vm_code
+            tlb_spp[slot] = entry.value
+        l1_tag = np.full(lmask + 1, -1, dtype=np.int64)
+        for line_set in core.l1._sets:
+            for line in line_set:
+                l1_tag[(line >> _LINE_SHIFT) & lmask] = line
+        return tlb_tag, tlb_spp, l1_tag
 
     def _scan_window(self, positions, ends, active, horizon):
         """Find how many whole rounds every active stream covers steadily.
 
         Returns ``(rounds, horizon_limited, window)`` where ``window``
         maps each scanned stream to its ``(tag, spp, line, write)``
-        column views for the scanned region.
+        arrays for the scanned region, derived here from slices of the
+        trace's streams.  Mirrors are built only for the cores a scan
+        reaches, so a scan that stops at its first stream stays cheap.
         """
         from repro.sim.simulator import _INTERLEAVE_CHUNK
 
-        mirrors = self._build_mirrors({self._pcpus[s] for s in active})
-        scan = self._scan
-        lmask = self._lmask
+        streams = self.trace.streams
+        writes = self.trace.writes
+        mirrors = {}
         rounds = None
         limited = False
         window = {}
@@ -1424,15 +1328,18 @@ class SoAExecutor(FastPathExecutor):
             pos = positions[s]
             avail = ends[s] - pos
             look = min(avail, horizon)
-            tlb_tag, tlb_spp, l1_tag = mirrors[self._pcpus[s]]
-            tag = self._col_tag[s][pos:pos + look]
-            tidx = self._col_tidx[s][pos:pos + look]
-            loff = self._col_loff[s][pos:pos + look]
-            spp_out = np.empty(look, dtype=np.int64)
-            line_out = np.empty(look, dtype=np.int64)
-            prefix = scan(
-                tlb_tag, tlb_spp, l1_tag, tag, tidx, loff, lmask,
-                spp_out, line_out,
+            if look < _INTERLEAVE_CHUNK:
+                return 0, limited, {}
+            cpu = self._pcpus[s]
+            mirror = mirrors.get(cpu)
+            if mirror is None:
+                mirror = mirrors[cpu] = self._build_mirror(cpu)
+            gva = np.asarray(streams[s][pos:pos + look], dtype=np.int64)
+            gvp = gva >> PAGE_SHIFT
+            tag = (gvp << 6) | self._vm_code[self.contexts[s].vm_id]
+            prefix, spp, line = _steady_prefix(
+                *mirror, tag, gvp & self._tmask, gva & _LINE_OFFSET_MASK,
+                self._lmask,
             )
             if prefix == look and look < avail:
                 limited = True
@@ -1441,8 +1348,10 @@ class SoAExecutor(FastPathExecutor):
                 rounds = stream_rounds
             if rounds == 0:
                 return 0, limited, {}
-            window[s] = (tag, spp_out, line_out,
-                         self._col_write[s][pos:pos + look])
+            window[s] = (
+                tag, spp, line,
+                np.asarray(writes[s][pos:pos + look], dtype=bool),
+            )
         return rounds, limited, window
 
     def _retire_rounds(
@@ -1535,12 +1444,52 @@ class SoAExecutor(FastPathExecutor):
         return executed
 
 
+#: log2 of the cache line size: the shift from a line address to its
+#: L1 mirror slot.
+_LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
+
+#: Page-offset bits that select a cache line within the page.
+_LINE_OFFSET_MASK = (PAGE_SIZE - 1) & ~(CACHE_LINE_SIZE - 1)
+
+
+def _steady_prefix(tlb_tag, tlb_spp, l1_tag, tag, tidx, loff, lmask):
+    """Scan one stream window against a core's direct-mapped mirrors.
+
+    Reference ``i`` is *steady* when its L1 TLB mirror slot ``tidx[i]``
+    holds its packed tag and the L1 data mirror holds the line it then
+    references.  Returns ``(prefix, spp, line)``: the length of the
+    all-steady prefix plus every reference's mirrored page and line
+    (entries at or past ``prefix`` are meaningless).
+    """
+    spp = tlb_spp[tidx]
+    line = (spp << PAGE_SHIFT) | loff
+    steady = (tlb_tag[tidx] == tag) & (
+        l1_tag[(line >> _LINE_SHIFT) & lmask] == line
+    )
+    prefix = tag.shape[0] if steady.all() else int(np.argmin(steady))
+    return prefix, spp, line
+
+
+def _last_occurrence_order(values: np.ndarray) -> np.ndarray:
+    """Distinct values of ``values`` ordered by ascending last occurrence.
+
+    Replaying ``move_to_end`` once per distinct key in this order yields
+    the exact OrderedDict order that per-reference ``move_to_end`` calls
+    would have produced -- provided membership did not change, which is
+    the invariant of an all-steady window.
+    """
+    reversed_values = values[::-1]
+    distinct, first_in_reversed = np.unique(
+        reversed_values, return_index=True
+    )
+    last = values.shape[0] - 1 - first_in_reversed
+    return distinct[np.argsort(last, kind="stable")]
+
+
 def make_executor(simulator: "Simulator", trace, contexts):
     """Build the executor matching the simulator's resolved engine."""
     if simulator.engine == ENGINE_FAST:
         return FastPathExecutor(simulator, trace, contexts)
-    if simulator.engine == ENGINE_SOA:
-        return SoAExecutor(simulator, trace, contexts)
     return ReferenceExecutor(simulator, trace, contexts)
 
 

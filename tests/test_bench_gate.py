@@ -35,8 +35,9 @@ def test_gate_passes_when_nothing_moved():
 
 def test_gate_compares_best_engine_on_both_sides():
     # Schema-1 baseline: `speedup` is reference/fast.  Schema-2 payload:
-    # `speedup` is reference/soa and may legitimately be lower than
-    # `fast_speedup` on a case where soa ~= fast minus scan overhead.
+    # `speedup` is reference over a since-removed third engine and may
+    # legitimately be lower than `fast_speedup` on a case where that
+    # engine ~= fast minus scan overhead.
     baseline = _payload([{"name": "a", "speedup": 2.0}], geomean=2.0)
     payload = _payload(
         [{"name": "a", "speedup": 1.2, "fast_speedup": 1.9}],
@@ -44,6 +45,48 @@ def test_gate_compares_best_engine_on_both_sides():
         geomean_fast=1.9,
     )
     assert check_baseline(payload, baseline) == []
+
+
+def test_schema3_payload_gates_against_schema2_baseline():
+    # Schema 3 carries only `speedup` (reference/fast) again; it is
+    # compared with the best of a schema-2 baseline's two columns.
+    baseline = {
+        "schema": 2,
+        **_payload(
+            [
+                {"name": "thrash", "speedup": 1.8, "fast_speedup": 1.9},
+                {"name": "resident", "speedup": 11.0, "fast_speedup": 5.0},
+            ],
+            geomean=4.4,
+            geomean_fast=3.1,
+        ),
+    }
+    passing = {
+        "schema": 3,
+        **_payload(
+            [
+                {"name": "thrash", "speedup": 1.85},
+                {"name": "resident", "speedup": 10.5},
+            ],
+            geomean=4.4,
+        ),
+    }
+    assert check_baseline(passing, baseline) == []
+    # a resident case that lost its bulk windows (back to the schema-2
+    # fast column) falls below 0.7x of the best baseline engine
+    failing = {
+        "schema": 3,
+        **_payload(
+            [
+                {"name": "thrash", "speedup": 1.85},
+                {"name": "resident", "speedup": 5.0},
+            ],
+            geomean=3.0,
+        ),
+    }
+    messages = check_baseline(failing, baseline)
+    assert any(m.startswith("resident:") for m in messages)
+    assert any(m.startswith("geomean:") for m in messages)
 
 
 def test_gate_flags_a_case_falling_off_a_cliff():

@@ -1,20 +1,21 @@
 """Engine equivalence: bit-identical results across configurations.
 
-The fast and SoA engines (:mod:`repro.sim.engine`) must produce
-**bit-identical** ``MachineStats``, energy and machine state for every
-configuration the reference engine supports -- that property is what
-lets either be selected without a ``CACHE_SCHEMA_VERSION`` bump.  These
-tests force all three engines over the differential scenario matrix,
-every protocol, and the directory/paging/placement/hypervisor variants
-whose code paths the optimized engines specialize, comparing full
-machine digests (every counter, every resident cache line, TLB entry
-and directory entry).  The SoA engine's scan-kernel backends (numba, C,
-numpy) are additionally pinned against each other.
+The fast engine (:mod:`repro.sim.engine`) must produce **bit-identical**
+``MachineStats``, energy and machine state for every configuration the
+reference engine supports -- that property is what lets it be selected
+without a ``CACHE_SCHEMA_VERSION`` bump.  These tests force both engines
+over the differential scenario matrix, every protocol, and the
+directory/paging/placement/hypervisor variants whose code paths the
+fast engine specializes, comparing full machine digests (every counter,
+every resident cache line, TLB entry and directory entry).  A resident
+scenario pins the fast engine's bulk windows, and a tracemalloc check
+pins that the executor never copies the whole trace.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,15 +30,15 @@ from repro.sim.config import (
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     ENGINES,
+    FastPathExecutor,
     FastPathMismatchError,
     diff_fingerprints,
     machine_digest,
     resolve_engine,
     result_fingerprint,
 )
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, resolve_trace
 from repro.workloads import make_workload
 from tests.conftest import small_config
 from tests.test_differential import SCENARIO_MATRIX, matrix_spec, _base_config
@@ -46,7 +47,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def assert_engines_identical(config: SystemConfig, workload_name: str, **run_kwargs):
-    """Run all engines and require identical results and machine state."""
+    """Run both engines and require identical results and machine state."""
     outcomes = {}
     for engine in ENGINES:
         simulator = Simulator(config, engine=engine)
@@ -201,7 +202,7 @@ def test_engine_env_override(monkeypatch):
     for engine in ENGINES:
         monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
         assert resolve_engine(None) == engine
-    with pytest.raises(ValueError, match="known: reference, fast, soa"):
+    with pytest.raises(ValueError, match="known: reference, fast$"):
         resolve_engine("warp")
     monkeypatch.setenv("REPRO_SIM_ENGINE", "fsat")
     with pytest.raises(ValueError, match="REPRO_SIM_ENGINE"):
@@ -238,25 +239,24 @@ def test_request_engine_field_keeps_default_cache_key():
     default = RunRequest(config=config, workload="canneal")
     explicit_fast = RunRequest(config=config, workload="canneal", engine="fast")
     reference = RunRequest(config=config, workload="canneal", engine="reference")
-    soa = RunRequest(config=config, workload="canneal", engine="soa")
     # the default-engine payload has no engine key at all, so keys are
     # exactly what they were before engine selection existed
     assert "engine" not in default.to_dict()
     assert default.cache_key != explicit_fast.cache_key
     assert explicit_fast.cache_key != reference.cache_key
     assert len({default.cache_key, reference.cache_key,
-                explicit_fast.cache_key, soa.cache_key}) == 4
-    assert RunRequest.from_dict(soa.to_dict()).engine == "soa"
-    # adding the soa engine did not bump the cache schema: selecting it
-    # changes nothing about what any existing key resolves to
+                explicit_fast.cache_key}) == 3
+    # engine selection never bumped the cache schema: choosing an
+    # engine changes nothing about what any existing key resolves to
     from repro.api.request import CACHE_SCHEMA_VERSION
 
     assert CACHE_SCHEMA_VERSION == 2
     # round trip preserves the engine
     assert RunRequest.from_dict(explicit_fast.to_dict()).engine == "fast"
     assert RunRequest.from_dict(default.to_dict()).engine == ""
-    with pytest.raises(ValueError):
-        RunRequest(config=config, workload="canneal", engine="warp")
+    for removed in ("warp", "soa"):
+        with pytest.raises(ValueError):
+            RunRequest(config=config, workload="canneal", engine=removed)
 
 
 def test_request_engines_give_identical_results():
@@ -300,42 +300,48 @@ def test_validate_fastpath_mode_detects_divergence(monkeypatch):
         execute_request(RunRequest(config=_base_config(), workload=spec.name))
 
 
-def test_validate_fastpath_mode_detects_soa_divergence(monkeypatch):
-    """Drift injected into the SoA engine alone is caught and attributed."""
+#: A scenario whose working set is genuinely TLB/L1-resident, so the
+#: fast engine's vectorized steady windows actually engage (the default
+#: bench scenarios thrash by design and exercise the exact chunk path
+#: instead).
+RESIDENT_STEADY = "syn:steady/seed=7/fp=6/hot=1.0/cold=0.0/reuse=16"
+
+
+def test_validate_fastpath_mode_detects_bulk_window_divergence(monkeypatch):
+    """Drift injected into the bulk windows alone is caught."""
     monkeypatch.setenv("REPRO_VALIDATE_FASTPATH", "1")
     from repro.sim import engine as engine_module
 
-    original = engine_module.SoAExecutor.execute_span
+    original = engine_module.FastPathExecutor._retire_rounds
 
-    def skewed(self, starts, ends, on_round=None):
-        count = original(self, starts, ends, on_round)
-        self.simulator.stats.cpus[0].busy_cycles += 1  # inject drift
+    def skewed(self, active, positions, *args):
+        count = original(self, active, positions, *args)
+        cpu = self._pcpus[active[0]]
+        self.simulator.stats.cpus[cpu].busy_cycles += 1  # inject drift
         return count
 
-    monkeypatch.setattr(engine_module.SoAExecutor, "execute_span", skewed)
-    spec = matrix_spec(3)
-    with pytest.raises(FastPathMismatchError, match="soa engine diverged"):
+    monkeypatch.setattr(
+        engine_module.FastPathExecutor, "_retire_rounds", skewed
+    )
+    with pytest.raises(FastPathMismatchError, match="fast engine diverged"):
         execute_request(
-            RunRequest(config=_base_config(), workload=spec.name, engine="soa")
+            RunRequest(
+                config=SystemConfig(num_cpus=4, protocol="hatric"),
+                workload=RESIDENT_STEADY,
+                refs_total=16000,
+            )
         )
 
 
 # ----------------------------------------------------------------------
-# SoA specifics: bulk-window engagement and scan-kernel backends
+# bulk windows and trace memory
 # ----------------------------------------------------------------------
-#: A scenario whose working set is genuinely TLB/L1-resident, so the
-#: SoA engine's vectorized steady windows actually engage (the default
-#: bench scenarios thrash by design and exercise the exact-path
-#: fallback instead).
-RESIDENT_STEADY = "syn:steady/seed=7/fp=6/hot=1.0/cold=0.0/reuse=16"
-
-
-def test_soa_bulk_windows_engage_and_stay_identical(monkeypatch):
+def test_bulk_windows_engage_and_stay_identical(monkeypatch):
     """The vectorized window path really runs (not just the fallback)."""
     from repro.sim import engine as engine_module
 
     calls = {"windows": 0, "rounds": 0}
-    original = engine_module.SoAExecutor._scan_window
+    original = engine_module.FastPathExecutor._scan_window
 
     def counted(self, positions, ends, active, horizon):
         rounds, limited, window = original(
@@ -345,53 +351,37 @@ def test_soa_bulk_windows_engage_and_stay_identical(monkeypatch):
         calls["rounds"] += rounds
         return rounds, limited, window
 
-    monkeypatch.setattr(engine_module.SoAExecutor, "_scan_window", counted)
+    monkeypatch.setattr(
+        engine_module.FastPathExecutor, "_scan_window", counted
+    )
     config = SystemConfig(num_cpus=4, protocol="hatric")
     assert_engines_identical(config, RESIDENT_STEADY, refs_total=24000)
     assert calls["windows"] > 0
     assert calls["rounds"] > 0
 
 
-def _soa_digest(kernel: str, monkeypatch) -> dict:
-    monkeypatch.setenv("REPRO_SOA_KERNEL", kernel)
-    config = SystemConfig(num_cpus=4, protocol="hatric")
-    simulator = Simulator(config, engine=ENGINE_SOA)
-    result = simulator.run(make_workload(RESIDENT_STEADY), refs_total=16000)
-    return {
-        "digest": machine_digest(simulator),
-        "fingerprint": result_fingerprint(result),
-    }
+def test_fast_executor_does_not_copy_the_trace():
+    """Building the executor allocates less than the trace itself.
 
-
-def test_soa_kernel_backends_bit_identical(monkeypatch):
-    """Every buildable scan backend produces the same digests."""
-    from repro.sim import soa_kernel
-
-    outcomes = {"python": _soa_digest("python", monkeypatch)}
+    The executor reads the numpy streams in place, one chunk or one
+    scan window at a time; a whole-trace Python-int copy of a trace
+    costs several times its numpy size.
+    """
+    config = SystemConfig(num_cpus=16, protocol="hatric")
+    simulator = Simulator(config, engine=ENGINE_FAST)
+    trace = resolve_trace(
+        make_workload(RESIDENT_STEADY), config.num_cpus, config.seed, 400_000
+    )
+    contexts = simulator._create_guests(trace)
+    trace_bytes = sum(
+        stream.nbytes + flags.nbytes
+        for stream, flags in zip(trace.streams, trace.writes)
+    )
+    tracemalloc.start()
     try:
-        soa_kernel.get_kernel("c")
-    except RuntimeError:
-        pass  # no compiler on this host; the python leg still ran
-    else:
-        outcomes["c"] = _soa_digest("c", monkeypatch)
-    try:
-        soa_kernel.get_kernel("numba")
-    except ImportError:
-        pass  # optional dependency absent
-    else:
-        outcomes["numba"] = _soa_digest("numba", monkeypatch)
-    baseline = outcomes.pop("python")
-    for name, outcome in outcomes.items():
-        assert outcome == baseline, f"kernel {name} diverged from python"
-
-
-def test_soa_kernel_request_validation(monkeypatch):
-    from repro.sim.soa_kernel import resolve_kernel_request
-
-    monkeypatch.delenv("REPRO_SOA_KERNEL", raising=False)
-    assert resolve_kernel_request() == "auto"
-    monkeypatch.setenv("REPRO_SOA_KERNEL", "python")
-    assert resolve_kernel_request() == "python"
-    monkeypatch.setenv("REPRO_SOA_KERNEL", "pyton")
-    with pytest.raises(ValueError, match="valid values: auto, numba, c, python"):
-        resolve_kernel_request()
+        executor = FastPathExecutor(simulator, trace, contexts)
+        allocated = tracemalloc.get_traced_memory()[1]  # peak
+    finally:
+        tracemalloc.stop()
+    assert executor._bulk
+    assert allocated < trace_bytes, (allocated, trace_bytes)

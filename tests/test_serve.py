@@ -3,7 +3,8 @@
 Pins the service contract at the wire level: validation failures are
 structured 4xx (never stack-trace 500s), duplicate in-flight POSTs
 coalesce to one execution, a server killed mid-run leaves the store
-reusable, and the ``/stats`` counters obey the conservation law
+reusable, a killed pool worker costs one failed request and not the
+service, and the ``/stats`` counters obey the conservation law
 ``hits + misses == requests``.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import signal
 
 import pytest
 
@@ -270,6 +273,76 @@ class TestRestartMidRun:
                 assert body["source"] == "memo"
 
         asyncio.run(after_restart())
+
+
+class TestWorkerDeath:
+    def test_killed_worker_pool_is_rebuilt(self, tmp_path):
+        first = run_request(protocol="hatric")
+        doomed = run_request(protocol="software")
+        after = run_request(protocol="ideal")
+
+        async def scenario():
+            async with serve(tmp_path, workers=1) as (client, service):
+                status, body = await client.post(
+                    "/run", {"request": first.to_dict()}
+                )
+                assert status == 200 and body["source"] == "executed"
+                stored = body["result"]
+                pool = service._process_pool
+                for pid in list(pool._processes):
+                    os.kill(pid, signal.SIGKILL)
+                # the request that meets the dead worker fails with a
+                # structured error (no retry) and drops the pool...
+                status, body = await client.post(
+                    "/run", {"request": doomed.to_dict()}
+                )
+                assert status == 500
+                assert body["error"]["code"] == "execution-failed"
+                assert "BrokenProcessPool" in body["error"]["detail"]
+                assert service._process_pool is None
+                # ...so the next cold request runs on a fresh pool
+                status, body = await client.post(
+                    "/run", {"request": after.to_dict()}
+                )
+                assert status == 200 and body["source"] == "executed"
+                assert service._process_pool is not pool
+                assert result_fingerprint(
+                    decode_result(body["result"])
+                ) == result_fingerprint(execute_request(after))
+
+                status, stats = await client.get("/stats")
+                assert status == 200
+                assert stats["requests"] == 3
+                assert stats["hits"] + stats["misses"] == stats["requests"]
+                assert stats["executed"] == 3
+                assert stats["errors"] == 1
+                assert stats["pool_restarts"] == 1
+                assert "repro_pool_restarts_total 1" in (
+                    service.metrics_exposition()
+                )
+            return stored
+
+        stored = asyncio.run(scenario())
+
+        async def restarted():
+            # the store written before and after the crash serves the
+            # same bytes a direct run produces
+            async with serve(tmp_path) as (client, _):
+                for request, expected in (
+                    (first, stored),
+                    (after, None),
+                ):
+                    status, body = await client.post(
+                        "/run", {"request": request.to_dict()}
+                    )
+                    assert status == 200 and body["source"] == "disk"
+                    if expected is not None:
+                        assert body["result"] == expected
+                    assert result_fingerprint(
+                        decode_result(body["result"])
+                    ) == result_fingerprint(execute_request(request))
+
+        asyncio.run(restarted())
 
 
 class TestStreaming:

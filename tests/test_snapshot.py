@@ -37,7 +37,6 @@ from repro.sim.config import MemoryConfig, PagingConfig, SystemConfig
 from repro.sim.engine import (
     ENGINE_FAST,
     ENGINE_REFERENCE,
-    ENGINE_SOA,
     diff_fingerprints,
     machine_digest,
     result_fingerprint,
@@ -70,7 +69,7 @@ MULTI_WORKLOAD = (
     "+syn:migration-daemon/addr=zipf/seed=8/refs=6000/blen=80@4+share=shared"
 )
 PROTOCOLS = ("software", "unitd", "hatric", "ideal")
-ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_SOA)
+ENGINES = (ENGINE_REFERENCE, ENGINE_FAST)
 
 
 def _config(protocol: str, num_cpus: int = 4, **overrides) -> SystemConfig:
